@@ -54,8 +54,7 @@ fn build(topo: &ClosTopology, seed: u64) -> (Emulation, f64) {
 }
 
 /// Applies `set` on the warm emulation through the session API — fork,
-/// rehearse on the child, commit the child back — the supported
-/// incremental path (the in-place `apply_change` wrapper is deprecated).
+/// rehearse on the child, commit the child back.
 fn apply_warm(warm: &mut Emulation, set: &ChangeSet) -> ConvergenceDelta {
     let mut fork = warm.fork();
     let delta = fork.apply(set).expect("change applies on fork");

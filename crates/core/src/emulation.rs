@@ -1171,11 +1171,8 @@ impl Emulation {
     /// estimates, not allocator measurements — deterministic for a seed
     /// on a given platform, which is what a regression baseline needs.
     pub(crate) fn memory_section(&self, fork_cow: Option<CowStats>) -> MemorySection {
-        use std::mem::size_of;
-        // RIB entries hold a prefix plus an interned-attrs handle and
-        // per-peer bookkeeping; interned attrs records amortize an AS
-        // path and hash-table slot. Both are flat per-entry estimates.
-        const RIB_ENTRY_BYTES: u64 = 48;
+        // Interned attrs records amortize an AS path and hash-table
+        // slot: a flat per-entry estimate.
         const ATTRS_BYTES: u64 = 96;
         const QUEUE_EVENT_BYTES: u64 = 128;
 
@@ -1185,23 +1182,17 @@ impl Emulation {
         devs.sort_by_key(|d| d.0);
         for dev in devs {
             let Some(os) = self.sim.os(dev) else { continue };
-            let rib_entries = os.rib_size() as u64;
-            let fib = os.fib();
-            let prefixes = fib.len() as u64;
-            let routes = fib.route_entry_count() as u64;
-            let fib_bytes = prefixes * size_of::<(Ipv4Prefix, FibEntry)>() as u64
-                + routes * size_of::<NextHop>() as u64;
-            let rib_bytes = rib_entries * RIB_ENTRY_BYTES;
+            let sizes = TableSizes::of(os);
             totals.devices += 1;
-            totals.rib_entries += rib_entries;
-            totals.rib_bytes += rib_bytes;
-            totals.fib_prefixes += prefixes;
-            totals.fib_route_entries += routes;
-            totals.fib_bytes += fib_bytes;
+            totals.rib_entries += sizes.rib_entries;
+            totals.rib_bytes += sizes.rib_bytes;
+            totals.fib_prefixes += sizes.fib_prefixes;
+            totals.fib_route_entries += sizes.fib_routes;
+            totals.fib_bytes += sizes.fib_bytes;
             per_dev.push(DeviceMem {
                 device: dev.0,
-                rib_bytes,
-                fib_bytes,
+                rib_bytes: sizes.rib_bytes,
+                fib_bytes: sizes.fib_bytes,
             });
         }
         per_dev.sort_by_key(|d| (std::cmp::Reverse(d.rib_bytes + d.fib_bytes), d.device));
@@ -1926,25 +1917,27 @@ impl Emulation {
 }
 
 impl Emulation {
-    /// Deep-copies the running emulation: the full copy-on-write fork
-    /// substrate behind [`Emulation::fork`](crate::session).
+    /// Copies the running emulation: the copy-on-write fork substrate
+    /// behind [`Emulation::fork`](crate::session).
     ///
     /// Ownership rules, layer by layer:
     ///
     /// * **Control plane** — every OS is duplicated via
-    ///   [`crystalnet_routing::DeviceOs::clone_boxed`]; interned
-    ///   `Arc<PathAttrs>`/`Arc<Provenance>` route state is shared
-    ///   structurally (the global interner is process-wide, so parent
-    ///   and child intern into the same pool). The engine's clock,
+    ///   [`crystalnet_routing::DeviceOs::clone_boxed`], which shares its
+    ///   route tables until either side writes one; interned
+    ///   `Arc<PathAttrs>`/`Arc<Provenance>` route state is shared for
+    ///   good (the global interner is process-wide, so parent and child
+    ///   intern into the same pool). The engine's clock,
     ///   scheduling sequence, and pending-event residue are replicated
     ///   exactly, which is what keeps a fork's subsequent convergence
     ///   bit-identical to the same steps applied in place.
     /// * **Cloud** — deep-copied behind a *fresh* `Arc<Mutex<_>>`: CPU
     ///   server positions and the provisioning RNG resume from the fork
     ///   point, but child work accounting can never reach the parent.
-    /// * **Telemetry** — the recorder is deep-copied
-    ///   ([`crystalnet_telemetry::Recorder::snapshot`]), so a committed
-    ///   fork's report reads "baseline + fork activity".
+    /// * **Telemetry** — the recorder is snapshotted
+    ///   ([`crystalnet_telemetry::Recorder::snapshot`]; the trace ring
+    ///   by chunk pointers), so a committed fork's report reads
+    ///   "baseline + fork activity".
     /// * **Immutable spine** — `prep` is shared by `Arc`.
     pub(crate) fn fork_emulation(&self) -> Emulation {
         let t_fork = self.options.profiling.then(Instant::now);
@@ -1999,6 +1992,37 @@ impl Emulation {
                 .profile_add(profile_keys::FORK, t0.elapsed().as_nanos() as u64);
         }
         child
+    }
+}
+
+/// One device's table sizes as the memory section counts them. Byte
+/// figures are entry counts × struct sizes, not allocator measurements.
+pub(crate) struct TableSizes {
+    pub rib_entries: u64,
+    pub fib_prefixes: u64,
+    /// FIB entries counting each ECMP member.
+    pub fib_routes: u64,
+    pub rib_bytes: u64,
+    pub fib_bytes: u64,
+}
+
+impl TableSizes {
+    pub(crate) fn of(os: &dyn crystalnet_routing::DeviceOs) -> Self {
+        use std::mem::size_of;
+        // RIB entries hold a prefix plus an interned-attrs handle and
+        // per-peer bookkeeping: a flat per-entry estimate.
+        const RIB_ENTRY_BYTES: u64 = 48;
+        let rib_entries = os.rib_size() as u64;
+        let fib_prefixes = os.fib().len() as u64;
+        let fib_routes = os.fib().route_entry_count() as u64;
+        TableSizes {
+            rib_entries,
+            fib_prefixes,
+            fib_routes,
+            rib_bytes: rib_entries * RIB_ENTRY_BYTES,
+            fib_bytes: fib_prefixes * size_of::<(Ipv4Prefix, FibEntry)>() as u64
+                + fib_routes * size_of::<NextHop>() as u64,
+        }
     }
 }
 

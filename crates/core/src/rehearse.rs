@@ -3,7 +3,8 @@
 //! The Fig. 3 validation loop re-runs "apply change → inspect" many times
 //! against one mockup. Rebuilding the emulation for every step would pay
 //! the full route-ready cost each time (§8.2: minutes to hours at L-DC
-//! scale), so [`Emulation::apply_change`] instead:
+//! scale), so [`EmulationFork::apply`](crate::EmulationFork::apply)
+//! instead:
 //!
 //! 1. classifies each change ([`classify_diff`]) — a no-op diff touches
 //!    nothing, a policy edit soft-refreshes the live session (RFC 2918
@@ -37,14 +38,15 @@ use crate::metrics::JournalKind;
 use crystalnet_config::{
     classify_diff, classify_ripple, config_diff, Change, ChangeImpact, ChangeSet, DeviceConfig,
 };
-use crystalnet_dataplane::{FibEntry, NextHop};
+use crystalnet_dataplane::NextHop;
 use crystalnet_net::{dirty_region_scoped, DeviceId, Ipv4Prefix, LinkId, RippleScope};
-use crystalnet_routing::{MgmtCommand, PathAttrs, SpeakerOs, SpeakerScript};
+use crystalnet_routing::{FibView, MgmtCommand, PathAttrs, SpeakerOs, SpeakerScript};
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::FieldValue;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How one prefix's FIB entry changed across an [`Emulation::apply_change`].
+/// How one prefix's FIB entry changed across an
+/// [`EmulationFork::apply`](crate::EmulationFork::apply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FibChangeKind {
     /// The prefix was not installed before and is now.
@@ -82,7 +84,7 @@ pub struct FibChange {
     pub prov_digest: Option<u64>,
 }
 
-/// What `apply_change` did with one [`Change`] of the set.
+/// What an apply did with one [`Change`] of the set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedChange {
     /// The change kind label ([`Change::kind`]).
@@ -248,78 +250,12 @@ enum Planned {
 }
 
 impl Emulation {
-    /// Applies a parsed change set to the *running* emulation and
-    /// re-converges only the devices the change can affect.
-    ///
-    /// Mechanisms by classification:
-    ///
-    /// * [`ChangeImpact::NoOp`] — nothing is injected; the change
-    ///   contributes nothing to the dirty set.
-    /// * [`ChangeImpact::SoftRefresh`] — the new config is soft-applied
-    ///   over the live session
-    ///   ([`MgmtCommand::UpdatePolicy`]): policies rebind, exports
-    ///   refresh, and peers replay their announcements (route refresh) so
-    ///   tightened import policy re-filters without a session reset.
-    /// * [`ChangeImpact::SessionReset`] — the device reloads
-    ///   ([`Emulation::reload`], two-layer mode) and pays real downtime.
-    ///
-    /// Link and topology changes map to their Table 2 operations;
-    /// [`Change::SpeakerRouteSwap`] rebuilds the speaker's static script
-    /// with a bumped incarnation epoch so peers flush and resync.
-    ///
+    /// Applies a change set in place and re-converges only the devices
+    /// it can affect — the mechanism behind
+    /// [`EmulationFork::apply`](crate::EmulationFork::apply), which runs
+    /// it on a fork's child (see there for the per-kind semantics).
     /// Nothing is mutated until the whole set validates.
-    ///
-    /// # Migration
-    ///
-    /// Deprecated in favour of the session API: mutating the baseline in
-    /// place cannot be rolled back, so a failed or unwanted rehearsal
-    /// poisons the warm emulation. Fork instead — the child is free to
-    /// fail, and dropping it *is* the rollback:
-    ///
-    /// ```
-    /// # use crystalnet::prelude::*;
-    /// # use crystalnet::PlanOptions;
-    /// # use crystalnet_net::fixtures::fig7;
-    /// # let f = fig7();
-    /// # let prep = prepare(&f.topo, &[], BoundaryMode::WholeNetwork,
-    /// #     SpeakerSource::OriginatedOnly, &PlanOptions::default());
-    /// let mut emu = mockup(Arc::new(prep), MockupOptions::builder().build());
-    ///
-    /// // Rehearse a link drain on a fork and inspect exactly what moved.
-    /// let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
-    /// let mut fork = emu.fork();
-    /// let delta = fork.apply(&ChangeSet::new().link_down(lid))?;
-    /// assert!(!delta.dirty.is_empty());
-    /// assert!(delta.total_fib_changes() > 0);
-    /// fork.commit(&mut emu); // or drop `fork` to roll back
-    /// # Ok::<(), EmulationError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`EmulationError::UnknownDevice`] / [`EmulationError::UnknownLink`]
-    /// for targets outside the emulation, the `guard`
-    /// reachability errors for unreachable devices, and
-    /// [`EmulationError::NotConverged`] if re-convergence misses the
-    /// deadline.
-    #[deprecated(
-        since = "0.7.0",
-        note = "mutating the baseline in place cannot be rolled back; \
-                use `Emulation::fork()` + `EmulationFork::apply` and then \
-                `commit` (or drop the fork to roll back)"
-    )]
-    pub fn apply_change(
-        &mut self,
-        changes: &ChangeSet,
-    ) -> Result<ConvergenceDelta, EmulationError> {
-        self.apply_change_inner(changes)
-    }
-
-    /// The in-place change application behind both the deprecated
-    /// [`Emulation::apply_change`] and the session API (a fork applies
-    /// changes to its *child* through this, then swaps the child in on
-    /// commit).
-    pub(crate) fn apply_change_inner(
+    pub(crate) fn apply_change(
         &mut self,
         changes: &ChangeSet,
     ) -> Result<ConvergenceDelta, EmulationError> {
@@ -470,7 +406,7 @@ impl Emulation {
         // ---- Snapshot FIBs before injecting. The snapshot covers the
         // full emulated scope, not just the predicted dirty set, so the
         // reported diff is authoritative even if the prediction is short.
-        let before = self.fib_snapshot(&scope);
+        let before = self.fib_views(&scope);
 
         // ---- Inject. ----
         let now = self.now();
@@ -524,7 +460,7 @@ impl Emulation {
         };
 
         // ---- Diff the full scope's FIBs (authoritative). ----
-        let after = self.fib_snapshot(&scope);
+        let after = self.fib_views(&scope);
         let fib_changes = diff_snapshots(&before, &after);
         let outside_dirty = fib_changes.keys().filter(|d| !dirty.contains(d)).count() as u64;
         let (virtual_cost, events_executed) = self.sim.engine.cost_since(&mark);
@@ -711,71 +647,83 @@ impl Emulation {
         self.speaker_overrides.insert(dev, scripts);
     }
 
-    /// FIB + provenance-digest snapshot for a set of devices. Devices
-    /// with no OS (removed) contribute an empty map.
-    pub(crate) fn fib_snapshot(
-        &self,
-        devs: &BTreeSet<DeviceId>,
-    ) -> BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>> {
-        let mut out = BTreeMap::new();
-        for &dev in devs {
-            let mut table = BTreeMap::new();
-            if let Some(os) = self.sim.os(dev) {
-                for (prefix, entry) in os.fib().iter() {
-                    let digest = os.route_detail(prefix).map(|rd| rd.prov.digest());
-                    table.insert(prefix, (entry.clone(), digest));
-                }
-            }
-            out.insert(dev, table);
-        }
-        out
+    /// Shared FIB handles for a set of devices — O(devices) pointer
+    /// copies. Devices with no OS (removed) get an empty view.
+    pub(crate) fn fib_views(&self, devs: &BTreeSet<DeviceId>) -> FibViews {
+        devs.iter()
+            .map(|&dev| {
+                let view = self
+                    .sim
+                    .os(dev)
+                    .map_or_else(FibView::empty, |os| os.fib_view());
+                (dev, view)
+            })
+            .collect()
     }
 }
 
-/// Per-device diff of two FIB snapshots; devices with no mutations are
-/// omitted.
+/// Per-device FIB handles: what a snapshot or an apply's before/after
+/// capture holds instead of copied tables.
+pub(crate) type FibViews = BTreeMap<DeviceId, FibView>;
+
+/// Per-device diff of two FIB captures; devices with no mutations are
+/// omitted, and devices absent from `after` diff against an empty table.
+///
+/// A device whose handles are pointer-equal was never written in
+/// between and is skipped without a look at its entries, so the cost is
+/// O(devices + entries of the tables that changed).
 pub(crate) fn diff_snapshots(
-    before: &BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>,
-    after: &BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>,
+    before: &FibViews,
+    after: &FibViews,
 ) -> BTreeMap<DeviceId, Vec<FibChange>> {
-    let empty = BTreeMap::new();
+    let empty = FibView::empty();
     let mut out = BTreeMap::new();
     for (&dev, old) in before {
         let new = after.get(&dev).unwrap_or(&empty);
-        let mut changes = Vec::new();
-        for (prefix, (entry, digest)) in old {
-            match new.get(prefix) {
-                None => changes.push(FibChange {
-                    prefix: *prefix,
-                    kind: FibChangeKind::Removed,
-                    next_hops: Vec::new(),
-                    prov_digest: *digest,
-                }),
-                Some((new_entry, new_digest)) if new_entry != entry => {
-                    changes.push(FibChange {
-                        prefix: *prefix,
-                        kind: FibChangeKind::Modified,
-                        next_hops: new_entry.next_hops.clone(),
-                        prov_digest: *new_digest,
-                    });
-                }
-                Some(_) => {}
-            }
+        if old.same_fib(new) {
+            continue;
         }
-        for (prefix, (entry, digest)) in new {
-            if !old.contains_key(prefix) {
-                changes.push(FibChange {
-                    prefix: *prefix,
-                    kind: FibChangeKind::Added,
-                    next_hops: entry.next_hops.clone(),
-                    prov_digest: *digest,
-                });
-            }
-        }
-        changes.sort_by_key(|c| c.prefix);
+        let changes = diff_fibs(old, new);
         if !changes.is_empty() {
             out.insert(dev, changes);
         }
     }
     out
+}
+
+/// One device's FIB mutations, prefix-sorted. Provenance digests are
+/// computed for changed entries only: the new route's for adds and
+/// modifies, the old route's for removes.
+fn diff_fibs(old: &FibView, new: &FibView) -> Vec<FibChange> {
+    let digest = |view: &FibView, prefix| view.route_detail(prefix).map(|d| d.prov.digest());
+    let mut changes = Vec::new();
+    for (prefix, entry) in old.fib().iter() {
+        match new.fib().get(prefix) {
+            None => changes.push(FibChange {
+                prefix,
+                kind: FibChangeKind::Removed,
+                next_hops: Vec::new(),
+                prov_digest: digest(old, prefix),
+            }),
+            Some(new_entry) if new_entry != entry => changes.push(FibChange {
+                prefix,
+                kind: FibChangeKind::Modified,
+                next_hops: new_entry.next_hops.to_vec(),
+                prov_digest: digest(new, prefix),
+            }),
+            Some(_) => {}
+        }
+    }
+    for (prefix, entry) in new.fib().iter() {
+        if old.fib().get(prefix).is_none() {
+            changes.push(FibChange {
+                prefix,
+                kind: FibChangeKind::Added,
+                next_hops: entry.next_hops.to_vec(),
+                prov_digest: digest(new, prefix),
+            });
+        }
+    }
+    changes.sort_by_key(|c| c.prefix);
+    changes
 }

@@ -1,27 +1,27 @@
 //! Copy-on-write emulation forks: the session-oriented rehearsal API.
 //!
 //! The Fig. 3 validation loop wants *many* candidate operations checked
-//! against one faithfully emulated network. `apply_change` mutates the
-//! single warm [`Emulation`] in place, so concurrent what-if plans used
-//! to mean re-converging a fresh mockup per plan — exactly the §8.2
-//! cost the incremental-validation story exists to avoid. This module
-//! replaces that with sessions:
+//! against one faithfully emulated network without re-converging a
+//! fresh mockup per plan — exactly the §8.2 cost the
+//! incremental-validation story exists to avoid. Sessions do that:
 //!
 //! ```text
-//! let fork = emu.fork();          // cheap deep fork of the converged baseline
+//! let fork = emu.fork();          // copy-on-write fork of the converged baseline
 //! fork.apply(&changes)?;          // rehearse on the child
 //! fork.diff_against_parent();     // what moved, relative to the baseline
 //! fork.commit(&mut emu);          // adopt — or just drop the fork to roll back
 //! ```
 //!
-//! A fork is **independent**: it owns every mutable layer (OS instances,
-//! event-queue residue, cloud CPU accounting, telemetry) and shares only
-//! the immutable or interned state — the `Arc<PrepareOutput>` spine and
-//! the hash-consed `Arc<PathAttrs>`/`Arc<Provenance>` route entries —
-//! structurally. That makes a fork's memory cost proportional to the
-//! *mutable* state (FIB indexes, sessions, queues), not to the interned
-//! route universe, and makes forks `Send`: N rehearsals can run on N
-//! worker threads off one warm baseline.
+//! A fork is **independent**: no change or fault applied to it can reach
+//! the parent. It is also **cheap**: every route table (Loc-RIB, FIBs,
+//! Adj-RIBs) and the telemetry trace ring sit behind `Arc`s and are
+//! copied on write, so the fork copies pointers and the first write on
+//! either side copies only the table it touches. A fork costs
+//! O(devices + trace-ring chunks); an apply, a diff and a drop cost
+//! O(tables touched). The immutable `Arc<PrepareOutput>` spine and the
+//! interned `Arc<PathAttrs>`/`Arc<Provenance>` route entries are shared
+//! as before. Forks are `Send`: N rehearsals can run on N worker threads
+//! off one warm baseline.
 //!
 //! A fork is **exact**: the engine's clock, scheduling sequence, and
 //! every queued event's `(time, key, seq)` rank are replicated, so a
@@ -33,28 +33,28 @@
 //! Dropping a fork *is* the rollback — there is no undo log to replay,
 //! which subsumes the old plan-rollback item.
 
-use crate::emulation::{Emulation, EmulationError};
+use crate::emulation::{Emulation, EmulationError, TableSizes};
 use crate::faults::{FaultPlan, FaultReport};
-use crate::rehearse::{diff_snapshots, ConvergenceDelta, FibChange};
+use crate::rehearse::{diff_snapshots, ConvergenceDelta, FibChange, FibViews};
 use crystalnet_config::ChangeSet;
-use crystalnet_dataplane::FibEntry;
-use crystalnet_net::{DeviceId, Ipv4Prefix};
+use crystalnet_net::DeviceId;
 use crystalnet_sim::SimTime;
-use crystalnet_telemetry::CowStats;
+use crystalnet_telemetry::{CowStats, MemRecorder};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Internal alias for the per-device FIB + provenance-digest tables a
-/// snapshot anchors diffs against.
-type FibTables = BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>;
+/// Flat per-record estimate for trace-ring bytes: the record plus a
+/// couple of typed fields.
+const TRACE_RECORD_BYTES: u64 = 128;
 
 /// What a fork captured from its parent, summarized.
 ///
 /// The snapshot records the fork point — virtual time, queue residue,
-/// RNG/epoch state — and keeps the parent's full FIB tables as the
-/// anchor for [`EmulationFork::diff_against_parent`]. The *live* state
-/// (OS instances, sessions, cloud) lives in the forked child itself;
-/// this struct is the stable, inspectable description of where the
-/// fork branched.
+/// RNG/epoch state — and holds per-device handles to the parent's FIB
+/// and route-detail tables (not copies) as the anchor for
+/// [`EmulationFork::diff_against_parent`]. The *live* state (OS
+/// instances, sessions, cloud) lives in the forked child itself; this
+/// struct is the stable, inspectable description of where the fork
+/// branched.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Virtual time at the fork point.
@@ -75,8 +75,8 @@ pub struct Snapshot {
     pub speaker_epochs: BTreeMap<DeviceId, u64>,
     /// The run seed (boot/provisioning jitter derive from it).
     pub seed: u64,
-    /// Per-device FIB + provenance digests — the diff anchor.
-    pub(crate) fibs: FibTables,
+    /// Per-device FIB handles — the diff anchor.
+    pub(crate) fibs: FibViews,
 }
 
 impl Snapshot {
@@ -91,13 +91,13 @@ impl Snapshot {
 }
 
 impl Emulation {
-    /// Captures a [`Snapshot`] of the converged state: the FIB/RIB
-    /// tables, queue residue, and epoch/RNG position a fork would
-    /// branch from.
+    /// Captures a [`Snapshot`] of the converged state: handles to the
+    /// FIB/RIB tables, queue residue, and epoch/RNG position a fork
+    /// would branch from. O(devices): no table is copied.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let scope: BTreeSet<DeviceId> = self.sandboxes.keys().copied().collect();
-        let fibs = self.fib_snapshot(&scope);
+        let fibs = self.fib_views(&scope);
         let (mut rib_entries, mut fib_entries) = (0, 0);
         for &dev in &scope {
             if let Some(os) = self.sim.os(dev) {
@@ -121,11 +121,12 @@ impl Emulation {
     /// Forks the emulation: an independent child branched from the
     /// current converged state, wrapped in a rehearsal session.
     ///
-    /// The child shares unchanged route state structurally (interned
-    /// `Arc` attributes/provenance, the `Arc<PrepareOutput>` spine) and
-    /// owns everything mutable, so changes and faults applied to it
-    /// never perturb `self`. Take as many forks as you like — each is
-    /// `Send` and can rehearse on its own worker thread.
+    /// The child shares every route table and the trace ring with `self`
+    /// until one side writes them, at which point the writer copies the
+    /// one table it touches. Forking therefore costs O(devices +
+    /// trace-ring chunks), not O(routes), and changes and faults applied
+    /// to the child never perturb `self`. Take as many forks as you like
+    /// — each is `Send` and can rehearse on its own worker thread.
     ///
     /// # Examples
     ///
@@ -174,17 +175,59 @@ pub struct EmulationFork {
 }
 
 impl EmulationFork {
-    /// Applies a change set to the forked child and re-converges it
-    /// incrementally, exactly like the in-place path would have.
+    /// Applies a change set to the forked child and re-converges only
+    /// the devices the change can affect.
+    ///
+    /// Config updates go by their diff classification:
+    ///
+    /// * [`ChangeImpact::NoOp`](crystalnet_config::ChangeImpact::NoOp) —
+    ///   nothing is injected; the change contributes nothing to the
+    ///   dirty set.
+    /// * [`ChangeImpact::SoftRefresh`](crystalnet_config::ChangeImpact::SoftRefresh)
+    ///   — the new config is soft-applied over the live session
+    ///   ([`MgmtCommand::UpdatePolicy`](crystalnet_routing::MgmtCommand::UpdatePolicy)):
+    ///   policies rebind, exports refresh, and peers replay their
+    ///   announcements (route refresh) so tightened import policy
+    ///   re-filters without a session reset.
+    /// * [`ChangeImpact::SessionReset`](crystalnet_config::ChangeImpact::SessionReset)
+    ///   — the device reloads ([`Emulation::reload`], two-layer mode)
+    ///   and pays real downtime.
+    ///
+    /// Link and topology changes map to their Table 2 operations;
+    /// [`Change::SpeakerRouteSwap`](crystalnet_config::Change::SpeakerRouteSwap)
+    /// rebuilds the speaker's static script with a bumped incarnation
+    /// epoch so peers flush and resync. Nothing is mutated until the
+    /// whole set validates.
+    ///
+    /// ```
+    /// # use crystalnet::prelude::*;
+    /// # use crystalnet::PlanOptions;
+    /// # use crystalnet_net::fixtures::fig7;
+    /// # let f = fig7();
+    /// # let prep = prepare(&f.topo, &[], BoundaryMode::WholeNetwork,
+    /// #     SpeakerSource::OriginatedOnly, &PlanOptions::default());
+    /// let mut emu = mockup(Arc::new(prep), MockupOptions::builder().build());
+    ///
+    /// // Rehearse a link drain on a fork and inspect exactly what moved.
+    /// let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
+    /// let mut fork = emu.fork();
+    /// let delta = fork.apply(&ChangeSet::new().link_down(lid))?;
+    /// assert!(!delta.dirty.is_empty());
+    /// assert!(delta.total_fib_changes() > 0);
+    /// fork.commit(&mut emu); // or drop `fork` to roll back
+    /// # Ok::<(), EmulationError>(())
+    /// ```
     ///
     /// # Errors
     ///
-    /// The same errors as the in-place path: unknown targets,
-    /// reachability guards, [`EmulationError::NotConverged`]. The fork
-    /// stays usable after a validation error (nothing was mutated), and
-    /// the parent is untouched in every case.
+    /// [`EmulationError::UnknownDevice`] / [`EmulationError::UnknownLink`]
+    /// for targets outside the emulation, the reachability guards for
+    /// unreachable devices, and [`EmulationError::NotConverged`] if
+    /// re-convergence misses the deadline. The fork stays usable after a
+    /// validation error (nothing was mutated), and the parent is
+    /// untouched in every case.
     pub fn apply(&mut self, changes: &ChangeSet) -> Result<ConvergenceDelta, EmulationError> {
-        let delta = self.child.apply_change_inner(changes)?;
+        let delta = self.child.apply_change(changes)?;
         self.deltas.push(delta.clone());
         Ok(delta)
     }
@@ -208,7 +251,7 @@ impl EmulationFork {
     #[must_use]
     pub fn diff_against_parent(&self) -> BTreeMap<DeviceId, Vec<FibChange>> {
         let scope: BTreeSet<DeviceId> = self.child.sandboxes.keys().copied().collect();
-        diff_snapshots(&self.base.fibs, &self.child.fib_snapshot(&scope))
+        diff_snapshots(&self.base.fibs, &self.child.fib_views(&scope))
     }
 
     /// The snapshot this session branched from.
@@ -237,10 +280,15 @@ impl EmulationFork {
         &mut self.child
     }
 
-    /// Estimates the fork's copy-on-write sharing: bytes shared with
-    /// the parent (the `Arc<PrepareOutput>` spine, the process-wide
-    /// interned path-attribute pool) versus bytes deep-copied for the
-    /// child (RIB/FIB tables, event-queue residue). Entry counts ×
+    /// Estimates the fork's copy-on-write sharing: bytes the child
+    /// still shares with the parent versus bytes it owns alone.
+    ///
+    /// Shared: the `Arc<PrepareOutput>` spine, the process-wide interned
+    /// path-attribute pool, every device table whose handle is still the
+    /// base snapshot's, and trace-ring chunks another emulation (the
+    /// parent, a sibling fork) also holds.
+    /// Copied: the tables the child has written since the fork, its own
+    /// ring chunks, and the event-queue residue. Entry counts ×
     /// struct-size estimates, not allocator measurements — computed on
     /// demand, so an unused fork costs nothing extra.
     #[must_use]
@@ -249,15 +297,36 @@ impl EmulationFork {
         // The immutable prepare spine: configs, topology tables, VM
         // plan. Flat per-record estimates, like the memory section's.
         let prep = &self.child.prep;
-        let prep_bytes = prep.configs.len() as u64 * 256
-            + prep.topo.device_count() as u64 * 128
-            + prep.topo.link_count() as u64 * 64;
-        CowStats {
-            shared_bytes: prep_bytes + mem.interner.table_bytes,
-            copied_bytes: mem.devices.rib_bytes
-                + mem.devices.fib_bytes
-                + mem.event_queue.residue_bytes,
+        let mut stats = CowStats {
+            shared_bytes: prep.configs.len() as u64 * 256
+                + prep.topo.device_count() as u64 * 128
+                + prep.topo.link_count() as u64 * 64
+                + mem.interner.table_bytes,
+            copied_bytes: mem.event_queue.residue_bytes,
+        };
+        let mut count = |shared: bool, bytes: u64| {
+            if shared {
+                stats.shared_bytes += bytes;
+            } else {
+                stats.copied_bytes += bytes;
+            }
+        };
+        for (&dev, base) in &self.base.fibs {
+            let Some(os) = self.child.sim.os(dev) else {
+                continue;
+            };
+            let sizes = TableSizes::of(os);
+            let now = os.fib_view();
+            count(base.same_details(&now), sizes.rib_bytes);
+            count(base.same_fib(&now), sizes.fib_bytes);
         }
+        let recorder = &*self.child.sim.engine.world.recorder;
+        if let Some(sink) = MemRecorder::from_recorder(recorder).and_then(MemRecorder::trace_sink) {
+            let shared = sink.shared_len() as u64;
+            count(true, shared * TRACE_RECORD_BYTES);
+            count(false, (sink.len() as u64 - shared) * TRACE_RECORD_BYTES);
+        }
+        stats
     }
 
     /// [`Emulation::pull_report`] on the forked child, with the memory

@@ -7,7 +7,7 @@
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
-use crystalnet_dataplane::Fib;
+use crystalnet_dataplane::{Fib, FibEntry};
 use crystalnet_net::fixtures::fig7;
 use crystalnet_net::{DeviceId as Dev, LinkId};
 use proptest::prelude::*;
@@ -35,6 +35,69 @@ fn fib_map(emu: &Emulation) -> BTreeMap<Dev, Fib> {
     for &dev in emu.sandboxes.keys() {
         if let Some(os) = emu.sim.os(dev) {
             out.insert(dev, os.fib().clone());
+        }
+    }
+    out
+}
+
+/// Every emulated device's FIB with each entry's provenance digest,
+/// read entry by entry.
+type FullScan = BTreeMap<Dev, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>;
+
+fn full_scan(emu: &Emulation) -> FullScan {
+    let mut out = BTreeMap::new();
+    for &dev in emu.sandboxes.keys() {
+        let mut table = BTreeMap::new();
+        if let Some(os) = emu.sim.os(dev) {
+            for (prefix, entry) in os.fib().iter() {
+                let digest = os.route_detail(prefix).map(|d| d.prov.digest());
+                table.insert(prefix, (entry.clone(), digest));
+            }
+        }
+        out.insert(dev, table);
+    }
+    out
+}
+
+/// The reference diff the shared-handle diff must reproduce: compare
+/// every entry of every device; devices missing from `after` (removed)
+/// lose all their entries; devices with no change are omitted.
+fn full_scan_diff(before: &FullScan, after: &FullScan) -> BTreeMap<Dev, Vec<FibChange>> {
+    let empty = BTreeMap::new();
+    let mut out = BTreeMap::new();
+    for (&dev, old) in before {
+        let new = after.get(&dev).unwrap_or(&empty);
+        let mut changes = Vec::new();
+        for (&prefix, (entry, digest)) in old {
+            match new.get(&prefix) {
+                None => changes.push(FibChange {
+                    prefix,
+                    kind: FibChangeKind::Removed,
+                    next_hops: Vec::new(),
+                    prov_digest: *digest,
+                }),
+                Some((e, d)) if e != entry => changes.push(FibChange {
+                    prefix,
+                    kind: FibChangeKind::Modified,
+                    next_hops: e.next_hops.to_vec(),
+                    prov_digest: *d,
+                }),
+                Some(_) => {}
+            }
+        }
+        for (&prefix, (entry, digest)) in new {
+            if !old.contains_key(&prefix) {
+                changes.push(FibChange {
+                    prefix,
+                    kind: FibChangeKind::Added,
+                    next_hops: entry.next_hops.to_vec(),
+                    prov_digest: *digest,
+                });
+            }
+        }
+        changes.sort_by_key(|c| c.prefix);
+        if !changes.is_empty() {
+            out.insert(dev, changes);
         }
     }
     out
@@ -83,22 +146,29 @@ proptest! {
 
         // A random change set on one fork...
         let mut fork = emu.fork();
-        match change_kind {
-            0 => {
-                fork.apply(&ChangeSet::new().link_down(lid)).unwrap();
-            }
-            1 => {
-                fork.apply(&announce_extra(&emu, tor, (tor_ix % 250) as u8))
-                    .unwrap();
-            }
-            2 => {
-                fork.apply(&ChangeSet::new().device_remove(tor)).unwrap();
-            }
-            _ => {
-                fork.apply(&ChangeSet::new().link_down(lid)).unwrap();
-                fork.apply(&ChangeSet::new().link_up(lid)).unwrap();
-            }
+        let steps = match change_kind {
+            0 => vec![ChangeSet::new().link_down(lid)],
+            1 => vec![announce_extra(&emu, tor, (tor_ix % 250) as u8)],
+            2 => vec![ChangeSet::new().device_remove(tor)],
+            _ => vec![
+                ChangeSet::new().link_down(lid),
+                ChangeSet::new().link_up(lid),
+            ],
+        };
+        let mut scans = vec![full_scan(&emu)];
+        for step in &steps {
+            fork.apply(step).unwrap();
+            scans.push(full_scan(fork.emulation()));
         }
+        // Diffs skip devices whose tables are still shared; an
+        // entry-by-entry scan must find exactly the same changes.
+        for (i, delta) in fork.deltas().iter().enumerate() {
+            prop_assert_eq!(&delta.fib_changes, &full_scan_diff(&scans[i], &scans[i + 1]));
+        }
+        prop_assert_eq!(
+            fork.diff_against_parent(),
+            full_scan_diff(&scans[0], &scans[steps.len()])
+        );
 
         // ...and a random fault drill on another, concurrently alive.
         let mut drill = emu.fork();
@@ -364,6 +434,44 @@ fn snapshot_describes_the_fork_point() {
     assert_eq!(fork.base().pending_events, snap.pending_events);
     assert!(fork.diff_against_parent().is_empty());
     assert_eq!(fib_map(fork.emulation()), fib_map(&emu));
+}
+
+#[test]
+fn committing_a_sibling_leaves_an_open_fork_untouched() {
+    let f = fig7();
+    let mut emu = fig7_emu(37, 1);
+    let baseline = fib_map(&emu);
+    let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
+
+    let mut first = emu.fork();
+    first.apply(&ChangeSet::new().link_down(lid)).unwrap();
+    let base = first.base().clone();
+    let diff = first.diff_against_parent();
+    assert!(!diff.is_empty());
+
+    // A second fork from the same parent commits over it...
+    let mut second = emu.fork();
+    second.apply(&announce_extra(&emu, f.tors[2], 3)).unwrap();
+    second.commit(&mut emu);
+    assert_ne!(fib_map(&emu), baseline, "the commit must move the parent");
+
+    // ...and the first fork still answers against its own fork point.
+    let after = first.base();
+    assert_eq!(
+        (
+            after.at,
+            after.fib_entries,
+            after.rib_entries,
+            after.summary()
+        ),
+        (base.at, base.fib_entries, base.rib_entries, base.summary())
+    );
+    assert_eq!(first.diff_against_parent(), diff);
+    assert!(first
+        .diff_against_parent()
+        .values()
+        .flatten()
+        .all(|c| c.prefix != "10.77.3.0/24".parse().unwrap()));
 }
 
 #[test]

@@ -3,9 +3,7 @@
 //! to a full re-settle from the same seed, for every change kind and
 //! across worker counts; plus dirty-set semantics (no-op diffs touch
 //! nothing, speakers bound the ripple) and the interaction with fault
-//! quarantine. Exactly one test still calls the deprecated in-place
-//! `apply_change` wrapper, pinning it to the session path until it is
-//! removed.
+//! quarantine.
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
@@ -533,43 +531,6 @@ fn device_removal_works_while_a_quarantine_is_active() {
         fib_map(&emu),
         fib_map(&cold),
         "quarantine history must not change the post-removal fixed point"
-    );
-}
-
-/// The deprecated in-place `apply_change` wrapper must keep delegating
-/// to the session path bit-for-bit until it is removed. This is the
-/// one test still allowed to call it — every other caller has moved to
-/// fork/apply/commit.
-#[test]
-#[allow(deprecated)]
-fn deprecated_apply_change_wrapper_matches_session_path() {
-    let f = fig7();
-    let lid = f
-        .topo
-        .links()
-        .find(|(_, l)| {
-            let pair = [l.a.device, l.b.device];
-            pair.contains(&f.spines[0]) && pair.contains(&f.leaves[0])
-        })
-        .map(|(lid, _)| lid)
-        .expect("fig7 has an s1-l1 link");
-
-    let mut legacy = fig7_emu(17, 1);
-    let mut session = fig7_emu(17, 1);
-    let d_legacy = legacy
-        .apply_change(&ChangeSet::new().link_down(lid))
-        .expect("wrapper applies");
-    let d_session =
-        apply_session(&mut session, &ChangeSet::new().link_down(lid)).expect("session applies");
-
-    assert_eq!(d_legacy.dirty, d_session.dirty);
-    assert_eq!(d_legacy.fib_changes, d_session.fib_changes);
-    assert_eq!(d_legacy.settled_at, d_session.settled_at);
-    assert_eq!(d_legacy.events_executed, d_session.events_executed);
-    assert_eq!(
-        fib_map(&legacy),
-        fib_map(&session),
-        "wrapper and session path must land on identical FIBs"
     );
 }
 

@@ -9,7 +9,8 @@
 
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A resolved next hop: egress interface plus the peer's address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -21,18 +22,38 @@ pub struct NextHop {
 }
 
 /// A FIB entry: the ECMP set for one prefix.
+///
+/// The set is an `Arc` slice, so cloning an entry (a FIB copied on write)
+/// allocates nothing. [`FibEntry::new`] hash-conses it: a fabric has a
+/// handful of distinct ECMP sets per device, so every entry with the same
+/// set points at one small, cache-resident allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FibEntry {
     /// Equal-cost next hops, kept sorted for deterministic hashing.
-    pub next_hops: Vec<NextHop>,
+    pub next_hops: Arc<[NextHop]>,
+}
+
+/// The process-wide table of interned ECMP sets.
+fn hop_sets() -> &'static Mutex<HashSet<Arc<[NextHop]>>> {
+    static HOP_SETS: OnceLock<Mutex<HashSet<Arc<[NextHop]>>>> = OnceLock::new();
+    HOP_SETS.get_or_init(|| Mutex::new(HashSet::new()))
 }
 
 impl FibEntry {
-    /// An entry with the given hops (deduplicated and sorted).
+    /// An entry with the given hops (deduplicated, sorted and interned).
     #[must_use]
     pub fn new(mut next_hops: Vec<NextHop>) -> Self {
         next_hops.sort_unstable();
         next_hops.dedup();
+        let mut sets = hop_sets().lock().expect("hop-set interner poisoned");
+        let next_hops = match sets.get(next_hops.as_slice()) {
+            Some(set) => Arc::clone(set),
+            None => {
+                let set: Arc<[NextHop]> = next_hops.into();
+                sets.insert(Arc::clone(&set));
+                set
+            }
+        };
         FibEntry { next_hops }
     }
 
@@ -57,9 +78,16 @@ pub enum InstallOutcome {
 ///
 /// Lookup walks per-length maps from /32 down to /0; inserts of an
 /// existing prefix update in place and never count against capacity twice.
+///
+/// The maps are copy-on-write: `clone` shares them behind one `Arc`, and
+/// the first write that changes an entry on either side copies them. A
+/// write that changes nothing (re-installing an equal entry, removing an
+/// absent prefix) copies nothing. [`Fib::shares_entries_with`] tells
+/// whether two tables still share their maps — then they hold the same
+/// entries. Reads go through the `Arc` without touching its count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fib {
-    by_len: Vec<HashMap<u32, FibEntry>>,
+    by_len: Arc<[HashMap<u32, FibEntry>]>,
     len_present: u64,
     count: usize,
     capacity: Option<usize>,
@@ -108,13 +136,32 @@ impl Fib {
             .sum()
     }
 
+    /// Whether both tables still share their maps (a clone neither side
+    /// has written since), and so hold the same entries.
+    #[must_use]
+    pub fn shares_entries_with(&self, other: &Fib) -> bool {
+        Arc::ptr_eq(&self.by_len, &other.by_len)
+    }
+
+    /// The maps, made unique first: copied if another clone shares them.
+    fn maps_mut(&mut self) -> &mut [HashMap<u32, FibEntry>] {
+        if Arc::get_mut(&mut self.by_len).is_none() {
+            self.by_len = self.by_len.iter().cloned().collect();
+        }
+        Arc::get_mut(&mut self.by_len).expect("maps are unique after the copy")
+    }
+
     /// Installs (or replaces) an entry.
     pub fn install(&mut self, prefix: Ipv4Prefix, entry: FibEntry) -> InstallOutcome {
-        let map = &mut self.by_len[prefix.len() as usize];
+        let len = prefix.len() as usize;
         let key = prefix.network().0;
-        if let std::collections::hash_map::Entry::Occupied(mut e) = map.entry(key) {
-            e.insert(entry);
-            return InstallOutcome::Installed;
+        match self.by_len[len].get(&key) {
+            Some(old) if *old == entry => return InstallOutcome::Installed,
+            Some(_) => {
+                self.maps_mut()[len].insert(key, entry);
+                return InstallOutcome::Installed;
+            }
+            None => {}
         }
         if let Some(cap) = self.capacity {
             if self.count >= cap {
@@ -122,7 +169,7 @@ impl Fib {
                 return InstallOutcome::DroppedFull;
             }
         }
-        map.insert(key, entry);
+        self.maps_mut()[len].insert(key, entry);
         self.len_present |= 1u64 << prefix.len();
         self.count += 1;
         InstallOutcome::Installed
@@ -130,14 +177,17 @@ impl Fib {
 
     /// Removes a prefix; returns the old entry if present.
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<FibEntry> {
-        let map = &mut self.by_len[prefix.len() as usize];
-        let removed = map.remove(&prefix.network().0);
-        if removed.is_some() {
-            self.count -= 1;
-            if map.is_empty() {
-                self.len_present &= !(1u64 << prefix.len());
-            }
+        let len = prefix.len() as usize;
+        let key = prefix.network().0;
+        if !self.by_len[len].contains_key(&key) {
+            return None;
         }
+        let map = &mut self.maps_mut()[len];
+        let removed = map.remove(&key);
+        if map.is_empty() {
+            self.len_present &= !(1u64 << prefix.len());
+        }
+        self.count -= 1;
         removed
     }
 
@@ -182,10 +232,11 @@ impl Fib {
         self.capacity
     }
 
-    /// Removes everything.
+    /// Removes everything (without copying maps another clone shares).
     pub fn clear(&mut self) {
-        for m in &mut self.by_len {
-            m.clear();
+        match Arc::get_mut(&mut self.by_len) {
+            Some(maps) => maps.iter_mut().for_each(HashMap::clear),
+            None => self.by_len = (0..=32).map(|_| HashMap::new()).collect(),
         }
         self.len_present = 0;
         self.count = 0;
@@ -315,9 +366,35 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_entries_until_a_write_changes_one() {
+        let mut base = Fib::new(Some(2));
+        base.install(p("10.0.0.0/8"), FibEntry::new(vec![hop(1)]));
+        let mut fork = base.clone();
+        assert!(fork.shares_entries_with(&base));
+        // Writes that change nothing copy nothing.
+        fork.install(p("10.0.0.0/8"), FibEntry::new(vec![hop(1)]));
+        assert!(fork.remove(p("20.0.0.0/8")).is_none());
+        assert!(fork.shares_entries_with(&base));
+        // The first real write copies; the original keeps its entries.
+        fork.install(p("10.0.0.0/8"), FibEntry::new(vec![hop(2)]));
+        assert!(!fork.shares_entries_with(&base));
+        assert_eq!(base.get(p("10.0.0.0/8")).unwrap().next_hops[0].iface, 1);
+        assert_eq!(fork.get(p("10.0.0.0/8")).unwrap().next_hops[0].iface, 2);
+        // Clearing a shared table leaves the other clone intact.
+        let mut cleared = base.clone();
+        cleared.clear();
+        assert!(cleared.is_empty() && cleared.lookup(a("10.1.1.1")).is_none());
+        assert_eq!(base.len(), 1);
+        assert_eq!(cleared.capacity(), Some(2));
+    }
+
+    #[test]
     fn entry_normalizes_hops() {
         let e = FibEntry::new(vec![hop(3), hop(1), hop(3), hop(2)]);
-        assert_eq!(e.next_hops, vec![hop(1), hop(2), hop(3)]);
+        assert_eq!(*e.next_hops, [hop(1), hop(2), hop(3)]);
+        // Equal sets are interned: one allocation, however many entries.
+        let same = FibEntry::new(vec![hop(2), hop(1), hop(3)]);
+        assert!(Arc::ptr_eq(&e.next_hops, &same.next_hops));
         assert!(e.is_reachable());
         assert!(!FibEntry::default().is_reachable());
     }

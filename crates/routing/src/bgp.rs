@@ -16,7 +16,9 @@
 
 use crate::attrs::{Origin, PathAttrs};
 use crate::msg::{BgpMsg, Frame};
-use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
+use crate::os::{
+    DeviceOs, FibView, MgmtCommand, MgmtResponse, OsActions, OsEvent, RouteDetails, TimerKind,
+};
 use crate::provenance::{
     DecisionReason, MutationKind, OriginKind, Provenance, RouteDetail, RouteMutation,
 };
@@ -67,8 +69,9 @@ struct LocEntry {
     /// Attributes as learned/originated (pre-export).
     attrs: Arc<PathAttrs>,
     source: RouteSource,
-    /// ECMP peer indexes (empty for local/aggregate).
-    ecmp: Vec<usize>,
+    /// ECMP peer indexes (empty for local/aggregate). Shared, so a
+    /// Loc-RIB copied on write allocates nothing per entry.
+    ecmp: Arc<[usize]>,
     /// Monotonic change tick (drives timing-dependent aggregate
     /// contributor selection, the §9 non-determinism).
     changed_tick: u64,
@@ -83,6 +86,40 @@ struct LocEntry {
 /// (both interned, so cloning the pair is two refcount bumps).
 type RibAttrs = (Arc<PathAttrs>, Arc<Provenance>);
 
+/// The Loc-RIB: best route per prefix.
+type LocRib = HashMap<Ipv4Prefix, LocEntry>;
+
+impl RouteDetails for LocRib {
+    fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail> {
+        self.get(&prefix).map(LocEntry::detail)
+    }
+}
+
+impl LocEntry {
+    fn detail(&self) -> RouteDetail {
+        RouteDetail {
+            attrs: self.attrs.clone(),
+            prov: self.prov.clone(),
+            reason: self.reason,
+        }
+    }
+}
+
+/// Empties a shared table: in place when this side owns it, by dropping
+/// the pointer when a fork or snapshot shares it (no copy just to clear).
+fn clear_shared<V>(table: &mut Arc<HashMap<Ipv4Prefix, V>>) {
+    match Arc::get_mut(table) {
+        Some(t) => t.clear(),
+        None => *table = Arc::default(),
+    }
+}
+
+/// Removes `prefix` from a shared table, copying the table only when the
+/// prefix is actually there.
+fn remove_shared<V: Clone>(table: &mut Arc<HashMap<Ipv4Prefix, V>>, prefix: Ipv4Prefix) -> bool {
+    table.contains_key(&prefix) && Arc::make_mut(table).remove(&prefix).is_some()
+}
+
 #[derive(Debug, Clone)]
 struct Peer {
     addr: Ipv4Addr,
@@ -95,11 +132,11 @@ struct Peer {
     link_up: bool,
     /// Session token of the peer's current incarnation.
     remote_token: Option<u64>,
-    adj_in: HashMap<Ipv4Prefix, RibAttrs>,
+    adj_in: Arc<HashMap<Ipv4Prefix, RibAttrs>>,
     /// Last flushed Adj-RIB-Out.
-    advertised: HashMap<Ipv4Prefix, RibAttrs>,
+    advertised: Arc<HashMap<Ipv4Prefix, RibAttrs>>,
     /// Pending (MRAI-batched) changes; `None` = withdraw.
-    pending: HashMap<Ipv4Prefix, Option<RibAttrs>>,
+    pending: Arc<HashMap<Ipv4Prefix, Option<RibAttrs>>>,
 }
 
 impl Peer {
@@ -112,6 +149,12 @@ impl Peer {
 }
 
 /// A BGP router OS instance (one emulated firmware image).
+///
+/// Every route table — the Loc-RIB and each peer's Adj-RIB-In,
+/// Adj-RIB-Out and MRAI batch — sits behind its own `Arc` and is written
+/// through `Arc::make_mut`; both FIBs are copy-on-write [`Fib`]s.
+/// Cloning the OS (an emulation fork) copies pointers; the first write on
+/// either side copies only the table it touches.
 #[derive(Clone)]
 pub struct BgpRouterOs {
     profile: VendorProfile,
@@ -125,7 +168,7 @@ pub struct BgpRouterOs {
     peers: Vec<Peer>,
     peer_by_iface: HashMap<u32, usize>,
     networks: BTreeSet<Ipv4Prefix>,
-    loc_rib: HashMap<Ipv4Prefix, LocEntry>,
+    loc_rib: Arc<LocRib>,
     fib: Fib,
     /// The ASIC view for images with an external forwarding emulator
     /// (CTNR-B + BMv2, §6.2); `None` for single-FIB vendors.
@@ -167,7 +210,7 @@ impl BgpRouterOs {
             peers: vec![],
             peer_by_iface: HashMap::new(),
             networks: BTreeSet::new(),
-            loc_rib: HashMap::new(),
+            loc_rib: Arc::default(),
             fib: Fib::new(config.fib_capacity),
             asic_fib: has_asic.then(|| Fib::new(config.fib_capacity)),
             dirty: BTreeSet::new(),
@@ -306,9 +349,9 @@ impl BgpRouterOs {
                     state: SessionState::Idle,
                     link_up: !iface_down,
                     remote_token: None,
-                    adj_in: HashMap::new(),
-                    advertised: HashMap::new(),
-                    pending: HashMap::new(),
+                    adj_in: Arc::default(),
+                    advertised: Arc::default(),
+                    pending: Arc::default(),
                 })
             })
             .collect();
@@ -358,11 +401,12 @@ impl BgpRouterOs {
         let peer = &mut self.peers[idx];
         let was_established = peer.state == SessionState::Established;
         peer.state = SessionState::Idle;
-        peer.pending.clear();
-        peer.advertised.clear();
+        clear_shared(&mut peer.pending);
+        clear_shared(&mut peer.advertised);
         if was_established {
             self.flaps += 1;
-            let flushed: Vec<Ipv4Prefix> = peer.adj_in.drain().map(|(p, _)| p).collect();
+            let flushed: Vec<Ipv4Prefix> = peer.adj_in.keys().copied().collect();
+            clear_shared(&mut peer.adj_in);
             actions.route_ops += flushed.len();
             self.dirty.extend(flushed);
             if let Some(limit) = self.profile.quirks.crash_after_flaps {
@@ -388,7 +432,7 @@ impl BgpRouterOs {
             .collect();
         for (prefix, attrs, source, prov) in prefixes {
             if let Some(exported) = self.export_for(idx, prefix, &attrs, source, &prov) {
-                self.peers[idx].pending.insert(prefix, Some(exported));
+                Arc::make_mut(&mut self.peers[idx].pending).insert(prefix, Some(exported));
                 actions.route_ops += 1;
             }
         }
@@ -407,20 +451,20 @@ impl BgpRouterOs {
         self.mrai_armed = false;
         for peer in &mut self.peers {
             if peer.state != SessionState::Established || peer.pending.is_empty() {
-                peer.pending.clear();
+                clear_shared(&mut peer.pending);
                 continue;
             }
             let mut announced = Vec::new();
             let mut withdrawn = Vec::new();
-            for (prefix, change) in peer.pending.drain() {
+            for (prefix, change) in Arc::make_mut(&mut peer.pending).drain() {
                 match change {
                     Some((attrs, prov)) => {
-                        peer.advertised
+                        Arc::make_mut(&mut peer.advertised)
                             .insert(prefix, (attrs.clone(), prov.clone()));
                         announced.push((prefix, attrs, prov));
                     }
                     None => {
-                        if peer.advertised.remove(&prefix).is_some() {
+                        if remove_shared(&mut peer.advertised, prefix) {
                             withdrawn.push(prefix);
                         }
                     }
@@ -597,7 +641,7 @@ impl BgpRouterOs {
             Some(LocEntry {
                 attrs: PathAttrs::originated(self.loopback).intern(),
                 source: RouteSource::Local,
-                ecmp: vec![],
+                ecmp: Arc::default(),
                 changed_tick: self.change_tick,
                 // Stamped with the current event on first origination; the
                 // unchanged-check below keeps that first entry alive, so
@@ -672,7 +716,7 @@ impl BgpRouterOs {
                 LocEntry {
                     attrs: battrs,
                     source: RouteSource::Peer(bidx),
-                    ecmp,
+                    ecmp: ecmp.into(),
                     changed_tick: self.change_tick,
                     prov: bprov,
                     reason,
@@ -704,19 +748,19 @@ impl BgpRouterOs {
                     let source = entry.source;
                     let prov = entry.prov.clone();
                     self.journal(prefix, MutationKind::Install, Some(&entry));
-                    self.loc_rib.insert(prefix, entry);
+                    Arc::make_mut(&mut self.loc_rib).insert(prefix, entry);
                     self.enqueue_export(prefix, Some((attrs, source, prov)), actions);
                 } else {
                     // RejectRoute overflow: drop entirely and withdraw.
                     self.journal(prefix, MutationKind::Remove, None);
-                    self.loc_rib.remove(&prefix);
+                    remove_shared(&mut self.loc_rib, prefix);
                     self.remove_fib(prefix);
                     self.enqueue_export(prefix, None, actions);
                 }
             }
             None => {
                 self.journal(prefix, MutationKind::Remove, None);
-                self.loc_rib.remove(&prefix);
+                remove_shared(&mut self.loc_rib, prefix);
                 self.remove_fib(prefix);
                 self.enqueue_export(prefix, None, actions);
             }
@@ -807,7 +851,7 @@ impl BgpRouterOs {
                 (None, None) => {}
                 _ => {
                     actions.route_ops += 1;
-                    peer.pending.insert(prefix, exported);
+                    Arc::make_mut(&mut peer.pending).insert(prefix, exported);
                 }
             }
         }
@@ -862,7 +906,7 @@ impl BgpRouterOs {
                         let entry = LocEntry {
                             attrs: attrs.clone(),
                             source: RouteSource::Aggregate,
-                            ecmp: vec![],
+                            ecmp: Arc::default(),
                             changed_tick: self.change_tick,
                             prov: Provenance::originated(
                                 OriginKind::Aggregate,
@@ -874,7 +918,7 @@ impl BgpRouterOs {
                         let prov = entry.prov.clone();
                         self.install_fib(agg.prefix, &entry);
                         self.journal(agg.prefix, MutationKind::Install, Some(&entry));
-                        self.loc_rib.insert(agg.prefix, entry);
+                        Arc::make_mut(&mut self.loc_rib).insert(agg.prefix, entry);
                         self.enqueue_export(
                             agg.prefix,
                             Some((attrs, RouteSource::Aggregate, prov)),
@@ -890,7 +934,7 @@ impl BgpRouterOs {
                     if present {
                         self.change_tick += 1;
                         self.journal(agg.prefix, MutationKind::Remove, None);
-                        self.loc_rib.remove(&agg.prefix);
+                        remove_shared(&mut self.loc_rib, agg.prefix);
                         self.remove_fib(agg.prefix);
                         self.enqueue_export(agg.prefix, None, actions);
                     }
@@ -966,7 +1010,7 @@ impl BgpRouterOs {
                     // eBGP loop prevention: my AS in the path ⇒ discard.
                     if attrs.contains_as(self.asn) {
                         // A previously accepted route may need removal.
-                        if self.peers[idx].adj_in.remove(&prefix).is_some() {
+                        if remove_shared(&mut self.peers[idx].adj_in, prefix) {
                             self.dirty.insert(prefix);
                         }
                         continue;
@@ -997,19 +1041,20 @@ impl BgpRouterOs {
                                 .get(&prefix)
                                 .is_some_and(|cur| same_attrs(&cur.0, &a));
                             if !known {
-                                self.peers[idx].adj_in.insert(prefix, (a, prov));
+                                Arc::make_mut(&mut self.peers[idx].adj_in)
+                                    .insert(prefix, (a, prov));
                                 self.dirty.insert(prefix);
                             }
                         }
                         None => {
-                            if self.peers[idx].adj_in.remove(&prefix).is_some() {
+                            if remove_shared(&mut self.peers[idx].adj_in, prefix) {
                                 self.dirty.insert(prefix);
                             }
                         }
                     }
                 }
                 for prefix in withdrawn {
-                    if self.peers[idx].adj_in.remove(&prefix).is_some() {
+                    if remove_shared(&mut self.peers[idx].adj_in, prefix) {
                         self.dirty.insert(prefix);
                     }
                 }
@@ -1033,8 +1078,9 @@ impl BgpRouterOs {
                     .map(|(p, r)| (*p, r.clone()))
                     .collect();
                 actions.route_ops += replay.len();
+                let pending = Arc::make_mut(&mut peer.pending);
                 for (prefix, rib) in replay {
-                    peer.pending.entry(prefix).or_insert(Some(rib));
+                    pending.entry(prefix).or_insert(Some(rib));
                 }
                 self.arm_mrai(actions);
             }
@@ -1213,7 +1259,7 @@ impl BgpRouterOs {
     }
 
     fn reset_control_plane(&mut self) {
-        self.loc_rib.clear();
+        clear_shared(&mut self.loc_rib);
         self.fib.clear();
         if let Some(asic) = &mut self.asic_fib {
             asic.clear();
@@ -1313,6 +1359,10 @@ impl DeviceOs for BgpRouterOs {
         self.asic_fib.as_ref().unwrap_or(&self.fib)
     }
 
+    fn fib_view(&self) -> FibView {
+        FibView::new(self.fib().clone(), Some(self.loc_rib.clone()))
+    }
+
     fn rib_size(&self) -> usize {
         self.loc_rib.len()
     }
@@ -1325,8 +1375,8 @@ impl DeviceOs for BgpRouterOs {
         &self.hostname
     }
 
-    fn local_addrs(&self) -> Vec<Ipv4Addr> {
-        self.local_addrs.clone()
+    fn local_addrs(&self) -> &[Ipv4Addr] {
+        &self.local_addrs
     }
 
     fn filter_permits(&self, ingress: Option<u32>, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
@@ -1365,28 +1415,12 @@ impl DeviceOs for BgpRouterOs {
     }
 
     fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail> {
-        self.loc_rib.get(&prefix).map(|e| RouteDetail {
-            attrs: e.attrs.clone(),
-            prov: e.prov.clone(),
-            reason: e.reason,
-        })
+        self.loc_rib.route_detail(prefix)
     }
 
     fn routes_with_detail(&self) -> Vec<(Ipv4Prefix, RouteDetail)> {
-        let mut rows: Vec<(Ipv4Prefix, RouteDetail)> = self
-            .loc_rib
-            .iter()
-            .map(|(p, e)| {
-                (
-                    *p,
-                    RouteDetail {
-                        attrs: e.attrs.clone(),
-                        prov: e.prov.clone(),
-                        reason: e.reason,
-                    },
-                )
-            })
-            .collect();
+        let mut rows: Vec<(Ipv4Prefix, RouteDetail)> =
+            self.loc_rib.iter().map(|(p, e)| (*p, e.detail())).collect();
         rows.sort_by_key(|(p, _)| *p);
         rows
     }

@@ -689,7 +689,7 @@ impl ControlPlaneSim {
     /// The caller supplies `work` and `recorder` because both typically
     /// need their own treatment on fork: the work model must stop
     /// sharing mutable CPU accounting with the parent, and the recorder
-    /// is deep-copied via [`Recorder::snapshot`]. Parallel-shard wiring
+    /// is copied via [`Recorder::snapshot`]. Parallel-shard wiring
     /// (`shard_route`) is never inherited — a fork starts in serial
     /// mode, mid-parallel-run forks are not supported.
     #[must_use]
@@ -1290,7 +1290,7 @@ impl ControlPlaneSim {
                 return (path, ForwardDecision::DropNoRoute);
             }
             let locals = os.local_addrs();
-            let decision = decide(os.fib(), &locals, &pkt, |src, dst| {
+            let decision = decide(os.fib(), locals, &pkt, |src, dst| {
                 os.filter_permits(ingress, src, dst)
             });
             last = decision;
@@ -1844,7 +1844,7 @@ fn probe_hop(
                         payload: bytes::Bytes::new(),
                     };
                     let locals = os.local_addrs();
-                    let decision = decide(os.fib(), &locals, &pkt, |s, d| {
+                    let decision = decide(os.fib(), locals, &pkt, |s, d| {
                         os.filter_permits(ingress, s, d)
                     });
                     match decision {
@@ -2325,7 +2325,7 @@ fn flow_hop(
                     payload: bytes::Bytes::new(),
                 };
                 let locals = os.local_addrs();
-                let decision = decide(os.fib(), &locals, &pkt, |s, d| {
+                let decision = decide(os.fib(), locals, &pkt, |s, d| {
                     os.filter_permits(ingress, s, d)
                 });
                 let acct = os

@@ -31,7 +31,9 @@ pub use health::{
     GrayFailureWitness, HealthState, Incident, IncidentKind, PairStats, ProbeConfig, ProbeOutcome,
 };
 pub use msg::{BgpMsg, Frame, OspfMsg};
-pub use os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
+pub use os::{
+    DeviceOs, FibView, MgmtCommand, MgmtResponse, OsActions, OsEvent, RouteDetails, TimerKind,
+};
 pub use ospf::{elect_dr_bdr, OspfRouterOs, RouterLsa};
 pub use provenance::{
     DecisionReason, MutationKind, OriginKind, ProvHop, Provenance, RouteDetail, RouteMutation,

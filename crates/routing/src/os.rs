@@ -16,6 +16,7 @@ use crystalnet_dataplane::Fib;
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Timers a device OS can arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,6 +134,80 @@ impl OsActions {
     }
 }
 
+/// The table a device's route details come from (the BGP Loc-RIB, the
+/// OSPF SPF metadata), readable after the OS has moved on.
+pub trait RouteDetails: Send + Sync {
+    /// Full detail for one installed prefix, if the table has it.
+    fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail>;
+}
+
+/// Shared, read-only handles to one device's forwarding state: the FIB
+/// the data plane sees and the table its route details come from.
+///
+/// Taking a view copies two pointers. The OS writes its tables copy on
+/// write, so its next write copies the table instead of changing it
+/// under the view: a view stays frozen at the moment it was taken, and
+/// two views of an untouched device share the same tables.
+#[derive(Clone)]
+pub struct FibView {
+    fib: Fib,
+    details: Option<Arc<dyn RouteDetails>>,
+}
+
+impl FibView {
+    /// A view over `fib` (a clone, which shares its entries), with route
+    /// details from `details` (`None` for OSes that keep no provenance).
+    #[must_use]
+    pub fn new(fib: Fib, details: Option<Arc<dyn RouteDetails>>) -> Self {
+        FibView { fib, details }
+    }
+
+    /// A view of an empty table (a device with no OS).
+    #[must_use]
+    pub fn empty() -> Self {
+        FibView::new(Fib::default(), None)
+    }
+
+    /// The frozen FIB.
+    #[must_use]
+    pub fn fib(&self) -> &Fib {
+        &self.fib
+    }
+
+    /// Route detail for one prefix, as the OS knew it when the view was
+    /// taken.
+    #[must_use]
+    pub fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail> {
+        self.details.as_ref()?.route_detail(prefix)
+    }
+
+    /// Whether both views share the same FIB entries (neither side has
+    /// written them since they last shared them).
+    #[must_use]
+    pub fn same_fib(&self, other: &FibView) -> bool {
+        self.fib.shares_entries_with(&other.fib)
+    }
+
+    /// Whether both views hold the very same route-detail table.
+    #[must_use]
+    pub fn same_details(&self, other: &FibView) -> bool {
+        match (&self.details, &other.details) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
+impl std::fmt::Debug for FibView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FibView")
+            .field("prefixes", &self.fib.len())
+            .field("details", &self.details.is_some())
+            .finish()
+    }
+}
+
 /// A bootable firmware image instance.
 ///
 /// `Send` so the parallel executor can move a device's OS (with its shard)
@@ -146,6 +221,11 @@ pub trait DeviceOs: Send {
     /// where the OS distinguishes kernel from ASIC).
     fn fib(&self) -> &Fib;
 
+    /// Shared handles to [`DeviceOs::fib`] and the table behind
+    /// [`DeviceOs::route_detail`]: what a snapshot keeps instead of a
+    /// copy.
+    fn fib_view(&self) -> FibView;
+
     /// Number of Loc-RIB prefixes.
     fn rib_size(&self) -> usize;
 
@@ -156,9 +236,10 @@ pub trait DeviceOs: Send {
     fn hostname(&self) -> &str;
 
     /// Addresses this device answers for (loopback + interface
-    /// addresses). Default: none.
-    fn local_addrs(&self) -> Vec<Ipv4Addr> {
-        Vec::new()
+    /// addresses), borrowed: every packet-walk hop reads them. Default:
+    /// none.
+    fn local_addrs(&self) -> &[Ipv4Addr] {
+        &[]
     }
 
     /// Evaluates the device's inbound packet filter for a packet arriving
@@ -213,12 +294,11 @@ pub trait DeviceOs: Send {
         Vec::new()
     }
 
-    /// Deep-copies this OS instance, boxed — the per-device half of an
-    /// emulation fork. RIB/FIB attribute and provenance entries are
-    /// interned `Arc`s, so the copy shares unchanged route state
-    /// structurally (two refcount bumps per entry) instead of
-    /// duplicating it; everything mutable (session state, timers, FIB
-    /// indexes) is owned by the copy.
+    /// Copies this OS instance, boxed — the per-device half of an
+    /// emulation fork. Route tables sit behind `Arc`s written through
+    /// `Arc::make_mut`, so the copy shares every table with the original
+    /// until either side writes one; session state and timers are owned
+    /// by the copy.
     fn clone_boxed(&self) -> Box<dyn DeviceOs>;
 }
 

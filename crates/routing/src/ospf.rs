@@ -8,7 +8,9 @@
 //! the election logic the proposition references.
 
 use crate::msg::{Frame, OspfMsg};
-use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
+use crate::os::{
+    DeviceOs, FibView, MgmtCommand, MgmtResponse, OsActions, OsEvent, RouteDetails, TimerKind,
+};
 use crate::provenance::{DecisionReason, OriginKind, Provenance, RouteDetail};
 use crystalnet_dataplane::{Fib, FibEntry, NextHop};
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
@@ -48,7 +50,22 @@ struct NeighborState {
     adjacent: bool,
 }
 
+/// SPF metadata per installed prefix: the LSA origin router and the
+/// event of the SPF run that installed it.
+type RouteMeta = HashMap<Ipv4Prefix, (Ipv4Addr, EventId)>;
+
+impl RouteDetails for RouteMeta {
+    fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail> {
+        let (origin, event) = self.get(&prefix)?;
+        Some(ospf_detail(*origin, *event))
+    }
+}
+
 /// An OSPF router OS instance.
+///
+/// The LSDB and route metadata sit behind `Arc`s and the FIB is a
+/// copy-on-write [`Fib`]: a clone shares them, and an SPF run swaps in
+/// fresh tables rather than writing shared ones.
 #[derive(Clone)]
 pub struct OspfRouterOs {
     hostname: String,
@@ -58,13 +75,12 @@ pub struct OspfRouterOs {
     ifaces: Vec<u32>,
     link_up: HashMap<u32, bool>,
     neighbors: HashMap<u32, NeighborState>,
-    lsdb: HashMap<Ipv4Addr, Arc<RouterLsa>>,
+    lsdb: Arc<HashMap<Ipv4Addr, Arc<RouterLsa>>>,
     my_seq: u32,
     prefixes: Vec<(Ipv4Prefix, u32)>,
     fib: Fib,
-    /// Per installed prefix: the LSA origin router and the event of the
-    /// SPF run that installed it (feeds [`DeviceOs::route_detail`]).
-    route_meta: HashMap<Ipv4Prefix, (Ipv4Addr, EventId)>,
+    /// Feeds [`DeviceOs::route_detail`].
+    route_meta: Arc<RouteMeta>,
     hello_interval: SimDuration,
     hello_armed: bool,
     down: bool,
@@ -89,11 +105,11 @@ impl OspfRouterOs {
             link_up: ifaces.iter().map(|&i| (i, true)).collect(),
             ifaces,
             neighbors: HashMap::new(),
-            lsdb: HashMap::new(),
+            lsdb: Arc::default(),
             my_seq: 0,
             prefixes: prefixes.into_iter().map(|p| (p, 0)).collect(),
             fib: Fib::default(),
-            route_meta: HashMap::new(),
+            route_meta: Arc::default(),
             hello_interval: SimDuration::from_secs(1),
             hello_armed: false,
             down: false,
@@ -177,7 +193,7 @@ impl OspfRouterOs {
                 .collect(),
             prefixes: self.prefixes.clone(),
         });
-        self.lsdb.insert(self.router_id, lsa.clone());
+        Arc::make_mut(&mut self.lsdb).insert(self.router_id, lsa.clone());
         self.flood(None, &lsa, actions);
         self.run_spf(actions);
     }
@@ -274,14 +290,19 @@ impl OspfRouterOs {
             }
         }
         routes.sort_by_key(|(p, cost, hop, _)| (*p, *cost, hop.via));
-        self.fib.clear();
-        self.route_meta.clear();
+        let mut fib = Fib::default();
+        let mut meta = RouteMeta::new();
         for (prefix, _, hop, origin) in routes {
-            if self.fib.get(prefix).is_none() {
-                self.fib.install(prefix, FibEntry::new(vec![hop]));
-                self.route_meta.insert(prefix, (origin, self.cur_event));
+            if fib.get(prefix).is_none() {
+                fib.install(prefix, FibEntry::new(vec![hop]));
+                meta.insert(prefix, (origin, self.cur_event));
             }
         }
+        // An unchanged FIB keeps its handle, so snapshots see no change.
+        if fib != self.fib {
+            self.fib = fib;
+        }
+        self.route_meta = Arc::new(meta);
     }
 
     fn on_hello(
@@ -321,7 +342,7 @@ impl OspfRouterOs {
             return;
         }
         actions.route_ops += 1;
-        self.lsdb.insert(lsa.origin, lsa.clone());
+        Arc::make_mut(&mut self.lsdb).insert(lsa.origin, lsa.clone());
         self.flood(Some(iface), &lsa, actions);
         self.run_spf(actions);
     }
@@ -397,6 +418,10 @@ impl DeviceOs for OspfRouterOs {
         &self.fib
     }
 
+    fn fib_view(&self) -> FibView {
+        FibView::new(self.fib.clone(), Some(self.route_meta.clone()))
+    }
+
     fn rib_size(&self) -> usize {
         self.fib.len()
     }
@@ -414,8 +439,7 @@ impl DeviceOs for OspfRouterOs {
     }
 
     fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail> {
-        let (origin, event) = self.route_meta.get(&prefix)?;
-        Some(ospf_detail(*origin, *event))
+        self.route_meta.route_detail(prefix)
     }
 
     fn routes_with_detail(&self) -> Vec<(Ipv4Prefix, RouteDetail)> {

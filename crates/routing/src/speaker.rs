@@ -10,7 +10,7 @@
 
 use crate::attrs::PathAttrs;
 use crate::msg::{BgpMsg, Frame};
-use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent};
+use crate::os::{DeviceOs, FibView, MgmtCommand, MgmtResponse, OsActions, OsEvent};
 use crate::provenance::{OriginKind, Provenance};
 use crystalnet_dataplane::Fib;
 use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
@@ -25,20 +25,27 @@ pub struct SpeakerScript {
     pub routes: Vec<(Ipv4Prefix, Arc<PathAttrs>)>,
 }
 
+/// One received announcement (`Some` attributes) or withdrawal (`None`),
+/// with the interface it arrived on.
+type Received = (u32, Ipv4Prefix, Option<Arc<PathAttrs>>);
+
 /// A static BGP speaker standing in for one external device.
+///
+/// The scripts and the received-announcement dump sit behind `Arc`s, so
+/// a clone shares them until one side writes.
 #[derive(Clone)]
 pub struct SpeakerOs {
     hostname: String,
     asn: Asn,
     router_id: Ipv4Addr,
     /// Per-interface scripts (one boundary device per interface).
-    scripts: HashMap<u32, SpeakerScript>,
+    scripts: Arc<HashMap<u32, SpeakerScript>>,
     /// Sessions currently up, keyed by interface, holding the peer's
     /// session token.
     established: HashMap<u32, Option<u64>>,
     /// Everything received from boundary devices, dumped for analysis
     /// ("dump the received announcements for potential analysis", §6.2).
-    received: Vec<(u32, Ipv4Prefix, Option<Arc<PathAttrs>>)>,
+    received: Arc<Vec<Received>>,
     fib: Fib,
     down: bool,
     /// Incarnation counter mixed into the session token. A speaker agent
@@ -59,9 +66,9 @@ impl SpeakerOs {
             hostname,
             asn,
             router_id,
-            scripts: HashMap::new(),
+            scripts: Arc::default(),
             established: HashMap::new(),
-            received: Vec::new(),
+            received: Arc::default(),
             fib: Fib::default(),
             down: false,
             epoch: 0,
@@ -71,7 +78,7 @@ impl SpeakerOs {
 
     /// Sets the announcement script for the session on `iface`.
     pub fn set_script(&mut self, iface: u32, script: SpeakerScript) {
-        self.scripts.insert(iface, script);
+        Arc::make_mut(&mut self.scripts).insert(iface, script);
     }
 
     /// Marks this instance as the `epoch`-th incarnation of the agent.
@@ -200,11 +207,12 @@ impl DeviceOs for SpeakerOs {
                     withdrawn,
                 }) => {
                     // Record, never react, never reflect.
+                    let received = Arc::make_mut(&mut self.received);
                     for (p, a, _) in announced {
-                        self.received.push((iface, p, Some(a)));
+                        received.push((iface, p, Some(a)));
                     }
                     for p in withdrawn {
-                        self.received.push((iface, p, None));
+                        received.push((iface, p, None));
                     }
                 }
                 Frame::Bgp(BgpMsg::Notification { .. }) => {
@@ -243,6 +251,10 @@ impl DeviceOs for SpeakerOs {
 
     fn fib(&self) -> &Fib {
         &self.fib
+    }
+
+    fn fib_view(&self) -> FibView {
+        FibView::new(self.fib.clone(), None)
     }
 
     fn rib_size(&self) -> usize {

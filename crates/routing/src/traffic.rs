@@ -156,7 +156,7 @@ pub struct EcmpResidue {
 #[must_use]
 pub fn entry_sig(entry: &FibEntry) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for hop in &entry.next_hops {
+    for hop in entry.next_hops.iter() {
         h ^= (u64::from(hop.iface) << 32) | u64::from(hop.via.0);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }

@@ -42,6 +42,7 @@ use crystalnet_sim::{EventId, SimDuration, SimTime};
 use serde::{Serialize, Value};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 pub mod profile;
 pub mod testutil;
@@ -402,6 +403,11 @@ pub fn trace_chrome_json(records: &[TraceRecord]) -> String {
     s
 }
 
+/// Records per [`TraceSink`] chunk. Small enough that the first push
+/// after a fork copies little, large enough that a full default-size
+/// ring (65,536 records) is a few hundred chunk pointers.
+const TRACE_CHUNK: usize = 256;
+
 /// A bounded ring buffer of [`TraceRecord`]s.
 ///
 /// Keeps the **newest** `capacity` records; older records are dropped and
@@ -412,10 +418,19 @@ pub fn trace_chrome_json(records: &[TraceRecord]) -> String {
 /// would — any record in the global newest-`capacity` set is necessarily
 /// within its own shard's newest `capacity`. Dropped counts therefore
 /// merge deterministically too (`emitted − retained`).
+///
+/// Records live in fixed-size `Arc`-shared chunks, oldest first, with a
+/// head offset into the first chunk. Cloning the sink (an emulation
+/// fork) copies chunk pointers; afterwards each side's first push copies
+/// at most its tail chunk, and evicting a shared head chunk only moves
+/// the offset and finally drops the pointer.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     capacity: usize,
-    records: VecDeque<TraceRecord>,
+    chunks: VecDeque<Arc<Vec<TraceRecord>>>,
+    /// Records of `chunks[0]` already evicted.
+    head: usize,
+    len: usize,
     emitted: u64,
     last_id: EventId,
     last_dev: Option<u32>,
@@ -428,7 +443,9 @@ impl TraceSink {
     pub fn new(capacity: usize) -> Self {
         TraceSink {
             capacity,
-            records: VecDeque::new(),
+            chunks: VecDeque::new(),
+            head: 0,
+            len: 0,
             emitted: 0,
             last_id: EventId::ZERO,
             last_dev: None,
@@ -445,13 +462,13 @@ impl TraceSink {
     /// Number of records currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether nothing is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Total records ever pushed (including dropped ones).
@@ -463,7 +480,19 @@ impl TraceSink {
     /// Records dropped to stay within the bound.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.emitted - self.records.len() as u64
+        self.emitted - self.len as u64
+    }
+
+    /// Retained records held in chunks some other sink (a fork's parent
+    /// or child) also points to.
+    #[must_use]
+    pub fn shared_len(&self) -> usize {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| Arc::strong_count(c) > 1)
+            .map(|(i, c)| if i == 0 { c.len() - self.head } else { c.len() })
+            .sum()
     }
 
     /// Appends a record, assigning its `sub` ordinal and evicting the
@@ -481,33 +510,68 @@ impl TraceSink {
         if self.capacity == 0 {
             return;
         }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
+        if self.len == self.capacity {
+            self.head += 1;
+            self.len -= 1;
+            if self.chunks.front().is_some_and(|c| self.head == c.len()) {
+                self.chunks.pop_front();
+                self.head = 0;
+            }
         }
-        self.records.push_back(rec);
+        match self.chunks.back_mut() {
+            Some(tail) if tail.len() < TRACE_CHUNK => Arc::make_mut(tail).push(rec),
+            _ => {
+                let mut chunk = Vec::with_capacity(TRACE_CHUNK);
+                chunk.push(rec);
+                self.chunks.push_back(Arc::new(chunk));
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Retained records, oldest first (push order).
+    fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.chunks.iter().flat_map(|c| c.iter()).skip(self.head)
     }
 
     /// Retained records in [`TraceRecord::rank`] order.
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out: Vec<TraceRecord> = self.records.iter().cloned().collect();
+        let mut out: Vec<TraceRecord> = self.iter().cloned().collect();
         out.sort_by_key(TraceRecord::rank);
+        out
+    }
+
+    /// Empties the sink, returning its retained records oldest first;
+    /// chunks no other sink shares are moved, not copied.
+    fn take_records(&mut self) -> Vec<TraceRecord> {
+        let mut out = Vec::with_capacity(self.len + self.head);
+        for chunk in std::mem::take(&mut self.chunks) {
+            out.extend(Arc::try_unwrap(chunk).unwrap_or_else(|c| c.to_vec()));
+        }
+        out.drain(..std::mem::take(&mut self.head));
+        self.len = 0;
         out
     }
 
     /// Merges a shard sink back: records interleave by rank, the newest
     /// `capacity` survive, and emit counts add.
-    pub fn absorb(&mut self, child: TraceSink) {
+    pub fn absorb(&mut self, mut child: TraceSink) {
         self.emitted += child.emitted;
-        self.records.extend(child.records);
-        let mut all: Vec<TraceRecord> = std::mem::take(&mut self.records).into();
+        let mut all = self.take_records();
+        all.extend(child.take_records());
         all.sort_by_key(TraceRecord::rank);
-        let drop = all.len().saturating_sub(self.capacity);
-        self.records = all.into_iter().skip(drop).collect();
-        if let Some(last) = self.records.back() {
+        all.drain(..all.len().saturating_sub(self.capacity));
+        if let Some(last) = all.last() {
             self.last_id = last.id;
             self.last_dev = last.device;
             self.last_sub = last.sub;
+        }
+        self.len = all.len();
+        let mut rest = all.into_iter();
+        while rest.len() > 0 {
+            let chunk: Vec<TraceRecord> = rest.by_ref().take(TRACE_CHUNK).collect();
+            self.chunks.push_back(Arc::new(chunk));
         }
     }
 
@@ -606,8 +670,9 @@ pub trait Recorder: Send {
     /// Creates an empty recorder of the same kind for a shard worker.
     fn fork(&self) -> Box<dyn Recorder>;
 
-    /// Deep-copies this recorder, history included — the telemetry fork
-    /// point of an emulation fork. Unlike [`Recorder::fork`] (which
+    /// Copies this recorder, history included — the telemetry fork
+    /// point of an emulation fork. The trace ring is copied by chunk
+    /// pointer, so a snapshot costs O(chunks), not O(records). Unlike [`Recorder::fork`] (which
     /// starts a shard's recorder *empty* so the join can `absorb` it
     /// additively), a snapshot carries everything recorded so far: a
     /// forked emulation's report reads as "baseline plus the fork's own
@@ -1583,6 +1648,177 @@ mod tests {
             panic!("chrome trace must be an object")
         };
         assert!(obj.iter().any(|(k, _)| k == "traceEvents"));
+    }
+
+    /// The ring before chunking: one `VecDeque`, evicting at the front.
+    /// The reference [`TraceSink`] must export identically to.
+    #[derive(Clone)]
+    struct RefSink {
+        capacity: usize,
+        records: VecDeque<TraceRecord>,
+        emitted: u64,
+        last: (EventId, Option<u32>, u32),
+    }
+
+    impl RefSink {
+        fn new(capacity: usize) -> Self {
+            RefSink {
+                capacity,
+                records: VecDeque::new(),
+                emitted: 0,
+                last: (EventId::ZERO, None, 0),
+            }
+        }
+
+        fn push(&mut self, mut rec: TraceRecord) {
+            self.last = if (rec.id, rec.device) == (self.last.0, self.last.1) {
+                (rec.id, rec.device, self.last.2 + 1)
+            } else {
+                (rec.id, rec.device, 0)
+            };
+            rec.sub = self.last.2;
+            self.emitted += 1;
+            if self.capacity == 0 {
+                return;
+            }
+            if self.records.len() == self.capacity {
+                self.records.pop_front();
+            }
+            self.records.push_back(rec);
+        }
+
+        fn absorb(&mut self, child: RefSink) {
+            self.emitted += child.emitted;
+            let mut all: Vec<TraceRecord> = self.records.drain(..).chain(child.records).collect();
+            all.sort_by_key(TraceRecord::rank);
+            let drop = all.len().saturating_sub(self.capacity);
+            self.records = all.into_iter().skip(drop).collect();
+            if let Some(r) = self.records.back() {
+                self.last = (r.id, r.device, r.sub);
+            }
+        }
+
+        fn records(&self) -> Vec<TraceRecord> {
+            let mut out: Vec<TraceRecord> = self.records.iter().cloned().collect();
+            out.sort_by_key(TraceRecord::rank);
+            out
+        }
+    }
+
+    /// Record `n` of a stream: pairs of consecutive records share an
+    /// `(event, device)`, so sub ordinals run past 0.
+    fn stream_rec(n: u64) -> TraceRecord {
+        let ev = n / 4;
+        TraceRecord::new(
+            SimTime(ev),
+            EventId {
+                time_ns: ev,
+                key: ev % 7,
+            },
+            None,
+            "r",
+            Some((n / 2 % 2) as u32),
+            vec![("n", FieldValue::U64(n))],
+        )
+    }
+
+    /// Pushes `count` stream records, starting at `*next`, into both.
+    fn push_both(sink: &mut TraceSink, reference: &mut RefSink, next: &mut u64, count: usize) {
+        for _ in 0..count {
+            sink.push(stream_rec(*next));
+            reference.push(stream_rec(*next));
+            *next += 1;
+        }
+    }
+
+    fn same_export(sink: &TraceSink, reference: &RefSink) -> Result<(), String> {
+        let (got, want) = (sink.records(), reference.records());
+        if got != want {
+            return Err(format!(
+                "{} records vs {} in the reference",
+                got.len(),
+                want.len()
+            ));
+        }
+        if (sink.len(), sink.emitted(), sink.dropped())
+            != (
+                want.len(),
+                reference.emitted,
+                reference.emitted - want.len() as u64,
+            )
+        {
+            return Err("len/emitted/dropped diverged".to_string());
+        }
+        if sink.to_jsonl() != trace_jsonl(&want) {
+            return Err("JSONL export diverged".to_string());
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn chunked_ring_exports_like_a_vecdeque(
+            cap_kind in 0u8..4,
+            jitter in 1usize..TRACE_CHUNK,
+            before_fork in 0usize..3 * TRACE_CHUNK,
+            on_parent in 0usize..2 * TRACE_CHUNK,
+            on_child in 0usize..2 * TRACE_CHUNK,
+            on_grandchild in 0usize..2 * TRACE_CHUNK,
+            child_again in 0usize..TRACE_CHUNK,
+        ) {
+            let capacity = match cap_kind {
+                0 => jitter,
+                1 => TRACE_CHUNK,
+                2 => 2 * TRACE_CHUNK + jitter,
+                _ => 0,
+            };
+            let (mut parent, mut ref_parent) = (TraceSink::new(capacity), RefSink::new(capacity));
+            let mut next = 0;
+            push_both(&mut parent, &mut ref_parent, &mut next, before_fork);
+
+            let (mut child, mut ref_child) = (parent.clone(), ref_parent.clone());
+            push_both(&mut parent, &mut ref_parent, &mut next, on_parent);
+            push_both(&mut child, &mut ref_child, &mut next, on_child);
+
+            let (mut grandchild, mut ref_grandchild) = (child.clone(), ref_child.clone());
+            push_both(&mut grandchild, &mut ref_grandchild, &mut next, on_grandchild);
+            push_both(&mut child, &mut ref_child, &mut next, child_again);
+
+            for (sink, reference) in [
+                (&parent, &ref_parent),
+                (&child, &ref_child),
+                (&grandchild, &ref_grandchild),
+            ] {
+                proptest::prop_assert!(same_export(sink, reference).is_ok(), "{:?}", same_export(sink, reference));
+            }
+
+            // A shard merge keeps matching too, shared chunks included.
+            parent.absorb(grandchild);
+            ref_parent.absorb(ref_grandchild);
+            proptest::prop_assert!(same_export(&parent, &ref_parent).is_ok(), "{:?}", same_export(&parent, &ref_parent));
+            push_both(&mut parent, &mut ref_parent, &mut next, jitter);
+            proptest::prop_assert!(same_export(&parent, &ref_parent).is_ok(), "{:?}", same_export(&parent, &ref_parent));
+        }
+    }
+
+    #[test]
+    fn forked_ring_shares_chunks_until_written() {
+        let mut parent = TraceSink::new(4 * TRACE_CHUNK);
+        let mut next = 0;
+        let mut reference = RefSink::new(4 * TRACE_CHUNK);
+        push_both(&mut parent, &mut reference, &mut next, 6 * TRACE_CHUNK + 3);
+        assert_eq!(parent.shared_len(), 0, "nothing shared before a fork");
+        let mut child = parent.clone();
+        assert_eq!(
+            child.shared_len(),
+            child.len(),
+            "a fresh fork shares every record"
+        );
+        // The first push copies only the partial tail chunk.
+        child.push(stream_rec(next));
+        assert_eq!(child.shared_len(), child.len() - 4);
+        assert_eq!(parent.shared_len(), parent.len() - 3);
     }
 
     #[test]

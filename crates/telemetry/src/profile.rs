@@ -32,9 +32,9 @@ pub mod keys {
     pub const MOCKUP_CONVERGE: &str = "core.mockup.converge";
     /// `settle()` re-convergence calls.
     pub const SETTLE: &str = "core.settle";
-    /// `fork()` / `fork_emulation()` deep-copy cost.
+    /// `fork()` / `fork_emulation()` copy-on-write fork cost.
     pub const FORK: &str = "core.fork";
-    /// Warm `apply_change` (validate, inject, re-converge, diff).
+    /// Warm `EmulationFork::apply` (validate, inject, re-converge, diff).
     pub const APPLY: &str = "core.apply";
     /// Serial engine event loop (`run_until_quiet` on one shard).
     pub const ENGINE_RUN: &str = "sim.engine.run";
@@ -501,14 +501,15 @@ impl Serialize for QueueMem {
 }
 
 /// Copy-on-write sharing breakdown for one emulation fork: what the child
-/// shares with its parent versus what was deep-copied.
+/// still shares with its parent versus what it owns alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Estimated bytes shared with the parent (prepare output, interned
-    /// path attributes).
+    /// path attributes, route tables and trace-ring chunks neither side
+    /// has written since the fork).
     pub shared_bytes: u64,
-    /// Estimated bytes deep-copied for the child (RIB/FIB clones, queued
-    /// events, fleet state).
+    /// Estimated bytes the child owns alone (route tables it has written,
+    /// its own trace-ring chunks, queued events).
     pub copied_bytes: u64,
 }
 

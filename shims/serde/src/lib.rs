@@ -447,6 +447,11 @@ impl<T: Deserialize> Deserialize for Arc<T> {
         T::from_value(v).map(Arc::new)
     }
 }
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Arc::from)
+    }
+}
 
 impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn to_value(&self) -> Value {
